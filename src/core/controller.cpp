@@ -77,19 +77,26 @@ Status Controller::Install(
   Uninstall();
   profiles_ = profiles ? std::move(profiles)
                        : std::make_shared<const std::vector<FaultProfile>>();
-  engine_ =
-      std::make_unique<TriggerEngine>(plan, *profiles_, opts_.feasible_only);
+  // Bind the profile set once: a campaign hands every install the same
+  // shared set, so indexing its functions per install would cost
+  // O(profiled functions) per scenario. Holding the bound set keeps its
+  // address from being reused by another set.
+  if (profiles_ != bound_profiles_) {
+    profile_index_ = std::make_unique<ProfileIndex>(*profiles_);
+    bound_profiles_ = profiles_;
+  }
+  engine_ = std::make_unique<TriggerEngine>(plan, *profile_index_,
+                                            opts_.feasible_only);
 
-  // Resolve every name exactly once, against the machine's symbol table:
-  // the stubs below only ever touch dense ids and cached pointers.
-  ProfileIndex profile_index(*profiles_, machine_.symbols());
+  // Resolve every planned name exactly once: the stubs below only ever
+  // touch dense ids and cached pointers.
   for (const std::string& fn : engine_->functions()) {
     auto state = std::make_shared<StubState>();
     state->symbol = machine_.symbols().Intern(fn);
     state->log_symbol = log_.Intern(fn);
     state->engine_state = engine_->state_for(fn);
     state->needs_backtrace = engine_->needs_backtrace(fn);
-    state->profile = profile_index.function(state->symbol);
+    state->profile = profile_index_->function(fn);
     stubs_.push_back(state);
 
     machine_.loader().RegisterNative(

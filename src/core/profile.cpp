@@ -68,11 +68,10 @@ const FunctionProfile* FaultProfile::function(std::string_view name) const {
   return nullptr;
 }
 
-ProfileIndex::ProfileIndex(const std::vector<FaultProfile>& profiles,
-                           util::SymbolTable& symbols) {
+ProfileIndex::ProfileIndex(const std::vector<FaultProfile>& profiles) {
   for (const FaultProfile& profile : profiles) {
     for (const FunctionProfile& fn : profile.functions) {
-      util::SymbolId id = symbols.Intern(fn.name);
+      util::SymbolId id = names_.Intern(fn.name);
       if (id >= by_id_.size()) by_id_.resize(id + 1, nullptr);
       if (by_id_[id] == nullptr) by_id_[id] = &fn;
     }

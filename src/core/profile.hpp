@@ -84,21 +84,27 @@ struct FaultProfile {
 };
 
 /// Resolve-once view over a profile set: interns every profiled function
-/// name into `symbols` and maps SymbolId -> FunctionProfile, so install
-/// paths look profiles up by dense id (array index) instead of a linear
-/// string scan per function. The first profile containing a function wins,
-/// matching the search order of the string API. The index borrows the
-/// profiles — it must not outlive them.
+/// name into its own table and maps SymbolId -> FunctionProfile, so a
+/// lookup is one hash of the name instead of a linear scan over every
+/// profile. Building it is O(profiled functions); build it once per
+/// profile set and share it across installs (Controller does), so an
+/// install costs O(planned functions). The first profile containing a
+/// function wins, matching the search order of the string API. The index
+/// borrows the profiles — it must not outlive them.
 class ProfileIndex {
  public:
-  ProfileIndex(const std::vector<FaultProfile>& profiles,
-               util::SymbolTable& symbols);
+  explicit ProfileIndex(const std::vector<FaultProfile>& profiles);
 
-  const FunctionProfile* function(util::SymbolId id) const {
+  ProfileIndex(const ProfileIndex&) = delete;
+  ProfileIndex& operator=(const ProfileIndex&) = delete;
+
+  const FunctionProfile* function(std::string_view name) const {
+    util::SymbolId id = names_.Find(name);
     return id < by_id_.size() ? by_id_[id] : nullptr;
   }
 
  private:
+  util::SymbolTable names_;
   std::vector<const FunctionProfile*> by_id_;
 };
 

@@ -7,6 +7,10 @@ namespace lfi::core {
 TriggerEngine::TriggerEngine(const Plan& plan,
                              const std::vector<FaultProfile>& profiles,
                              bool feasible_only)
+    : TriggerEngine(plan, ProfileIndex(profiles), feasible_only) {}
+
+TriggerEngine::TriggerEngine(const Plan& plan, const ProfileIndex& profiles,
+                             bool feasible_only)
     : plan_(plan), rng_(plan.seed) {
   // Intern every planned function; state_ is indexed by the resulting
   // dense ids and never resized afterwards (stable handles).
@@ -34,11 +38,11 @@ TriggerEngine::TriggerEngine(const Plan& plan,
                        return a.inject_call < b.inject_call;
                      });
   }
-  // Profile lookup by dense id (first profile with the function wins).
-  ProfileIndex index(profiles, symbols_);
+  // One profile lookup per planned function (first profile with the
+  // function wins).
   for (util::SymbolId id = 0; id < state_.size(); ++id) {
     if (!state_[id].has_triggers()) continue;
-    if (const FunctionProfile* fn = index.function(id)) {
+    if (const FunctionProfile* fn = profiles.function(symbols_.name(id))) {
       state_[id].injectables_ = fn->injectables(feasible_only);
     }
   }

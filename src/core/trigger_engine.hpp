@@ -64,6 +64,11 @@ class TriggerEngine {
   /// triggers with an explicit retval are unaffected.
   TriggerEngine(const Plan& plan, const std::vector<FaultProfile>& profiles,
                 bool feasible_only = false);
+  /// Same, over a prebuilt index of the profile set: construction then
+  /// costs O(plan triggers), independent of how many functions the
+  /// profiles describe. The engine keeps no reference to the index.
+  TriggerEngine(const Plan& plan, const ProfileIndex& profiles,
+                bool feasible_only = false);
 
   /// Opaque per-function handle; lets a stub skip the name lookup on the
   /// hot path (resolved once at install time). The trigger plumbing is

@@ -243,7 +243,13 @@ KResult KernelRuntime::DoWrite(KernelContext& ctx) {
   if (!f) return KResult::Fail(E_BADF);
   if (f->kind == FdKind::File) {
     auto& data = files_[f->path];
-    if (data.size() + count > (64u << 20)) return KResult::Fail(E_NOSPC);
+    // `count` and `pos` are arbitrary guest values: compare by subtraction
+    // so no sum can wrap. A wrapped sum passes the cap check and then makes
+    // resize() throw, or skips it and lets the copy run off `data`'s end.
+    if (count > kMaxFileBytes || data.size() > kMaxFileBytes - count ||
+        f->pos > kMaxFileBytes - count) {
+      return KResult::Fail(E_NOSPC);
+    }
     if (f->pos + count > data.size()) data.resize(f->pos + count);
     for (uint64_t i = 0; i < count; ++i) {
       uint8_t byte = 0;

@@ -185,6 +185,8 @@ class KernelRuntime {
 
   static constexpr int64_t kMaxFdsPerProcess = 64;
   static constexpr size_t kPipeCapacity = 65536;
+  /// Largest size a write() may grow a file to (larger writes: ENOSPC).
+  static constexpr uint64_t kMaxFileBytes = uint64_t{64} << 20;
 };
 
 }  // namespace lfi::kernel

@@ -59,7 +59,7 @@ void Machine::Reset() {
   stops_.clear();
   // tree_ (if any) stays valid: node contents are self-contained, and
   // ResetData marked every data page dirty, so the next RestoreTo copies
-  // all module pages and reconstructs processes from materialized images.
+  // all module pages and rebuilds processes from their delta chains.
   // The live state no longer extends any node, though — a PushSnapshot
   // from here must start a fresh tree.
   current_node_ = kNoSnapshot;
@@ -189,7 +189,7 @@ bool Machine::RestoreTo(SnapshotId target) {
 
   // Per process: in place (O(pages that differ)) when the live process is
   // the one the target captured and its journal is live; otherwise rebuild
-  // from a materialized image (post-Reset, or re-spawned/truncated since).
+  // from its delta chain (post-Reset, or re-spawned/truncated since).
   const size_t want = node.procs.size();
   for (size_t i = 0; i < want; ++i) {
     const ProcessNodeState& tps = node.procs[i];
@@ -200,19 +200,12 @@ bool Machine::RestoreTo(SnapshotId target) {
     if (in_place) {
       procs_[i]->RestoreFromTree(tree, target, i, path, &restore_stats_);
     } else {
-      ProcessSnapshot ps = MaterializeProcess(tree, target, i);
       auto proc = std::make_unique<Process>(tps.core.pid, loader_, kernel_,
                                             syscall_targets_, tps.heap_bytes,
                                             &segment_pool_);
       proc->set_exec_mode(exec_mode_);
       if (coverage_) proc->set_coverage(coverage_.get());
-      proc->RestoreFromSnapshot(ps, /*full=*/true);
-      auto seg_pages = [](uint64_t bytes) {
-        return (bytes + DirtyMap::kPageSize - 1) >> DirtyMap::kPageBits;
-      };
-      restore_stats_.pages_restored += seg_pages(tps.stack_bytes) +
-                                       seg_pages(tps.heap_bytes) +
-                                       seg_pages(tps.tls_bytes);
+      proc->MaterializeFromTree(tree, target, i, &restore_stats_);
       if (i < procs_.size()) {
         procs_[i] = std::move(proc);
       } else {

@@ -72,8 +72,9 @@ class Machine {
   /// stubs are kept (the controller manages those). This is what makes a
   /// Machine reusable across campaign scenarios — reset, not rebuild.
   /// An existing snapshot tree survives a Reset (the machine's current
-  /// position becomes "nowhere", so the next restore materializes full
-  /// images), but the next PushSnapshot starts a fresh tree.
+  /// position becomes "nowhere", so the next restore rebuilds every
+  /// process from its delta chain), but the next PushSnapshot starts a
+  /// fresh tree.
   void Reset();
 
   // -- snapshot tree ---------------------------------------------------------
@@ -90,7 +91,8 @@ class Machine {
   /// captured by nodes on the tree path between the current node and the
   /// target, each sourced from its newest writer at-or-above the target.
   /// Processes that no longer exist (truncated by an earlier restore, or
-  /// destroyed by Reset()) are rebuilt from materialized full images.
+  /// destroyed by Reset()) are rebuilt by applying their delta chains to
+  /// freshly pooled segments.
   /// Returns false — machine untouched — for an invalid id or when the
   /// loaded module set changed since the tree's root.
   bool RestoreTo(SnapshotId id);

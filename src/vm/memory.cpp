@@ -50,15 +50,27 @@ size_t DirtyMap::DirtyCount() const {
   return count;
 }
 
-void RestoreDirtyPages(DirtyMap& dirty, const uint8_t* from, uint8_t* to,
-                       uint64_t bytes) {
-  dirty.ForEachDirtyPage([&](uint64_t page) {
-    uint64_t off = page << DirtyMap::kPageBits;
-    if (off >= bytes) return;
-    uint64_t len = std::min(DirtyMap::kPageSize, bytes - off);
-    std::memcpy(to + off, from + off, len);
-  });
-  dirty.ClearAll();
+std::vector<uint8_t> SegmentPool::Acquire(uint64_t bytes) {
+  for (size_t i = 0; i < free_.size(); ++i) {
+    if (free_[i].buffer.size() != bytes) continue;
+    Free slot = std::move(free_[i]);
+    free_.erase(free_.begin() + static_cast<ptrdiff_t>(i));
+    if (!slot.touched.empty()) {
+      std::memset(slot.buffer.data() + slot.touched.begin, 0,
+                  slot.touched.end - slot.touched.begin);
+    }
+    return std::move(slot.buffer);
+  }
+  return std::vector<uint8_t>(bytes, 0);
+}
+
+void SegmentPool::Release(std::vector<uint8_t> buffer, const Extent& touched) {
+  if (buffer.empty() || free_.size() >= kMaxFree) return;
+  // Clamp to the buffer so Acquire's memset can never leave it.
+  Extent clamped;
+  clamped.end = std::min<uint64_t>(touched.end, buffer.size());
+  clamped.begin = std::min(touched.begin, clamped.end);
+  free_.push_back(Free{std::move(buffer), clamped});
 }
 
 const uint8_t* PageDelta::page(uint32_t page_index) const {
@@ -96,6 +108,19 @@ PageDelta CaptureAllPages(const uint8_t* mem, uint64_t bytes) {
   uint64_t pages = (bytes + DirtyMap::kPageSize - 1) >> DirtyMap::kPageBits;
   out.pages.reserve(pages);
   for (uint64_t p = 0; p < pages; ++p) AppendPage(&out, mem, bytes, p);
+  return out;
+}
+
+PageDelta CaptureNonZeroPages(const uint8_t* mem, uint64_t bytes) {
+  PageDelta out;
+  for (uint64_t off = 0; off < bytes; off += DirtyMap::kPageSize) {
+    uint64_t len = std::min(DirtyMap::kPageSize, bytes - off);
+    // All-zero iff the first byte is zero and every byte equals its
+    // successor.
+    const uint8_t* page = mem + off;
+    if (page[0] == 0 && std::memcmp(page, page + 1, len - 1) == 0) continue;
+    AppendPage(&out, mem, bytes, off >> DirtyMap::kPageBits);
+  }
   return out;
 }
 

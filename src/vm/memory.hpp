@@ -53,11 +53,34 @@ inline size_t NativeStubIndex(uint64_t addr) {
   return static_cast<size_t>((addr - kNativeStubBase) / kNativeStubSpacing);
 }
 
-/// Page-granular dirty journal over one memory segment. Inert until
-/// Enable()d (Mark is a no-op), so the interpreter can mark every write
-/// unconditionally and only pays a load+branch when no snapshot exists.
-/// This is what makes Machine::RestoreSnapshot O(dirty pages): restore
-/// copies back only the pages a scenario actually wrote.
+/// Half-open byte range [begin, end) of a segment; empty when begin >= end.
+struct Extent {
+  uint64_t begin = ~uint64_t{0};
+  uint64_t end = 0;
+
+  bool empty() const { return begin >= end; }
+  /// Grow to cover [off, off+len). The caller bounds-checked the range
+  /// against its segment, so off+len cannot wrap.
+  void Widen(uint64_t off, uint64_t len) {
+    begin = std::min(begin, off);
+    end = std::max(end, off + len);
+  }
+};
+
+/// Page-granular dirty journal over one memory segment, plus the segment's
+/// touched extent.
+///
+/// The journal is inert until Enable()d (it records nothing), so the
+/// interpreter can mark every write unconditionally and only pays a
+/// load+branch when no snapshot exists. This is what makes
+/// Machine::RestoreSnapshot O(dirty pages): restore copies back only the
+/// pages a scenario actually wrote.
+///
+/// The touched extent is always on: every Mark widens it, and so does every
+/// host-side copy into the segment (Touch). Enable, Disable and ClearAll
+/// leave it alone. It bounds the bytes that may be non-zero in a segment
+/// that started zeroed, which is what lets SegmentPool recycle a buffer by
+/// zeroing only that extent.
 class DirtyMap {
  public:
   static constexpr uint64_t kPageBits = 12;  // 4 KiB pages
@@ -82,11 +105,14 @@ class DirtyMap {
   }
   bool enabled() const { return !words_.empty(); }
 
-  /// Record a write of [off, off+len) within the segment. No-op when
-  /// disabled; out-of-range pages are clamped (the caller already
-  /// bounds-checked the access against the segment).
+  /// Record a write of [off, off+len) within the segment: widen the
+  /// touched extent, and journal the pages when enabled. Out-of-range
+  /// pages are clamped (the caller already bounds-checked the access
+  /// against the segment).
   void Mark(uint64_t off, uint64_t len) {
-    if (words_.empty() || len == 0) return;
+    if (len == 0) return;
+    touched_.Widen(off, len);
+    if (words_.empty()) return;
     uint64_t first = off >> kPageBits;
     uint64_t last = (off + len - 1) >> kPageBits;
     if (last >= pages_) last = pages_ == 0 ? 0 : pages_ - 1;
@@ -107,6 +133,14 @@ class DirtyMap {
 
   void ClearAll() { std::fill(words_.begin(), words_.end(), 0); }
 
+  /// Widen the touched extent over a host-side copy into [off, off+len)
+  /// that the journal must not see (restores, which clear it anyway).
+  void Touch(uint64_t off, uint64_t len) {
+    if (len != 0) touched_.Widen(off, len);
+  }
+  /// Bytes of the segment that may be non-zero, if it started zeroed.
+  const Extent& touched() const { return touched_; }
+
   /// Invoke fn(page_index) for every dirty page, ascending.
   template <typename Fn>
   void ForEachDirtyPage(Fn&& fn) const {
@@ -126,14 +160,8 @@ class DirtyMap {
  private:
   uint64_t pages_ = 0;
   std::vector<uint64_t> words_;
+  Extent touched_;
 };
-
-/// Copy the dirty pages of `from` (sized `bytes`) into `to`, then clear the
-/// journal. Both buffers must hold at least `bytes` bytes. The workhorse of
-/// snapshot restore: cost is proportional to pages written since the last
-/// restore, not to the segment size.
-void RestoreDirtyPages(DirtyMap& dirty, const uint8_t* from, uint8_t* to,
-                       uint64_t bytes);
 
 /// Identifies one node of a vm::SnapshotTree (index into its node vector).
 using SnapshotId = uint32_t;
@@ -142,10 +170,10 @@ inline constexpr SnapshotId kNoSnapshot = ~SnapshotId{0};
 /// Sparse page-image store: the set of pages one snapshot-tree node
 /// captured, with their contents at capture time. A node's delta holds
 /// exactly the pages written between its parent's capture and its own (a
-/// full node holds every page), so the content of page p at node N is
-/// found in the first delta containing p on the walk N -> root: the
-/// per-page newest-writer layering that lets nested snapshot windows
-/// share unchanged pages instead of copying full images.
+/// full node holds every page, or every non-zero one), so the content of
+/// page p at node N is found in the first delta containing p on the walk
+/// N -> root: the per-page newest-writer layering that lets nested
+/// snapshot windows share unchanged pages instead of copying full images.
 ///
 /// Every slot is DirtyMap::kPageSize bytes; the trailing partial page of a
 /// non-page-multiple segment is zero-padded on capture and clamped on
@@ -166,40 +194,45 @@ struct PageDelta {
 PageDelta CaptureDirtyPages(const DirtyMap& dirty, const uint8_t* mem,
                             uint64_t bytes);
 
-/// Capture every page of `mem` (root nodes, and segments whose journal was
-/// not live across the whole parent->child window).
+/// Capture every page of `mem` (module data at root nodes, and module data
+/// whose journal was not live across the whole parent->child window).
 PageDelta CaptureAllPages(const uint8_t* mem, uint64_t bytes);
+
+/// Capture every page of `mem` that holds a non-zero byte: the full capture
+/// of a process segment, whose absent pages read as zero (a process's
+/// segments start zeroed). Reading a segment is cheaper than copying it,
+/// and rebuilding the process later copies only the pages it used.
+PageDelta CaptureNonZeroPages(const uint8_t* mem, uint64_t bytes);
 
 /// Recycler for process memory segments (stack/heap/TLS buffers). Cycling
 /// megabyte-sized vectors through the allocator on every process
 /// construction mmap/munmaps them each time — 512 page faults per spawn —
 /// and the pattern degenerates further when a snapshot pins the primary
-/// process's segments between spawns. The pool hands back a previously
-/// released buffer of the same size (one memset, no page-fault storm).
+/// process's segments between spawns.
+///
+/// Each buffer comes back with its touched extent (DirtyMap::touched of
+/// the segment it backed): the only bytes that may be non-zero. Acquire
+/// zeroes just that extent, so recycling costs what the previous owner
+/// wrote — a few pages for a typical scenario — rather than the segment
+/// size. A buffer whose owner wrote anywhere (a wild write, a full-image
+/// restore) comes back with a wide extent and costs one full memset.
 class SegmentPool {
  public:
   /// A zeroed buffer of exactly `bytes` bytes.
-  std::vector<uint8_t> Acquire(uint64_t bytes) {
-    for (size_t i = 0; i < free_.size(); ++i) {
-      if (free_[i].size() == bytes) {
-        std::vector<uint8_t> buffer = std::move(free_[i]);
-        free_.erase(free_.begin() + static_cast<ptrdiff_t>(i));
-        std::fill(buffer.begin(), buffer.end(), uint8_t{0});
-        return buffer;
-      }
-    }
-    return std::vector<uint8_t>(bytes, 0);
-  }
+  std::vector<uint8_t> Acquire(uint64_t bytes);
 
-  /// Return a buffer for reuse (dropped beyond a small cap).
-  void Release(std::vector<uint8_t> buffer) {
-    if (buffer.empty() || free_.size() >= kMaxFree) return;
-    free_.push_back(std::move(buffer));
-  }
+  /// Return a buffer for reuse (dropped beyond a small cap). `touched`
+  /// must cover every byte that may be non-zero; it is clamped to the
+  /// buffer.
+  void Release(std::vector<uint8_t> buffer, const Extent& touched);
 
  private:
+  struct Free {
+    std::vector<uint8_t> buffer;
+    Extent touched;
+  };
   static constexpr size_t kMaxFree = 16;
-  std::vector<std::vector<uint8_t>> free_;
+  std::vector<Free> free_;
 };
 
 /// One mapped region. `backing` must outlive the AddressSpace and must not

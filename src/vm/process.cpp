@@ -62,9 +62,11 @@ Process::Process(int pid, Loader& loader, kernel::KernelRuntime& kernel,
 
 Process::~Process() {
   if (pool_ == nullptr) return;
-  pool_->Release(std::move(stack_mem_));
-  pool_->Release(std::move(heap_mem_));
-  pool_->Release(std::move(tls_mem_));
+  // Every byte this process (or a restore into it) made non-zero lies in
+  // its segment's touched extent: the pool zeroes only that on reuse.
+  pool_->Release(std::move(stack_mem_), stack_dirty_.touched());
+  pool_->Release(std::move(heap_mem_), heap_dirty_.touched());
+  pool_->Release(std::move(tls_mem_), tls_dirty_.touched());
 }
 
 void Process::Start(uint64_t entry_addr) {
@@ -225,39 +227,6 @@ void Process::RestoreCore(const ProcessCore& core) {
   mapped_generation_ = 0;
 }
 
-void Process::CaptureSnapshot(ProcessSnapshot* out) {
-  CaptureCore(&out->core);
-  out->stack = stack_mem_;
-  out->heap = heap_mem_;
-  out->tls = tls_mem_;
-  // From here on every write is journaled, so restores only touch the
-  // pages a scenario actually dirtied.
-  stack_dirty_.Enable(stack_mem_.size());
-  heap_dirty_.Enable(heap_mem_.size());
-  tls_dirty_.Enable(tls_mem_.size());
-}
-
-void Process::RestoreFromSnapshot(const ProcessSnapshot& snap, bool full) {
-  assert(snap.stack.size() == stack_mem_.size() &&
-         snap.heap.size() == heap_mem_.size() &&
-         snap.tls.size() == tls_mem_.size() &&
-         "snapshot/process segment size mismatch");
-  RestoreCore(snap.core);
-  auto segment = [&](DirtyMap& dirty, const std::vector<uint8_t>& image,
-                     std::vector<uint8_t>& mem) {
-    if (full || !dirty.enabled()) {
-      std::copy(image.begin(), image.end(), mem.begin());
-      dirty.Enable(mem.size());
-      dirty.ClearAll();  // Enable keeps stale marks; the copy covered them
-    } else {
-      RestoreDirtyPages(dirty, image.data(), mem.data(), image.size());
-    }
-  };
-  segment(stack_dirty_, snap.stack, stack_mem_);
-  segment(heap_dirty_, snap.heap, heap_mem_);
-  segment(tls_dirty_, snap.tls, tls_mem_);
-}
-
 void Process::CaptureNode(ProcessNodeState* out, bool full) {
   CaptureCore(&out->core);
   out->stack_bytes = stack_mem_.size();
@@ -265,7 +234,7 @@ void Process::CaptureNode(ProcessNodeState* out, bool full) {
   out->tls_bytes = tls_mem_.size();
   out->full = full || !dirty_tracking_enabled();
   auto capture = [&](const DirtyMap& dirty, const std::vector<uint8_t>& mem) {
-    return out->full ? CaptureAllPages(mem.data(), mem.size())
+    return out->full ? CaptureNonZeroPages(mem.data(), mem.size())
                      : CaptureDirtyPages(dirty, mem.data(), mem.size());
   };
   out->stack = capture(stack_dirty_, stack_mem_);
@@ -315,6 +284,7 @@ void Process::RestoreFromTree(const SnapshotTree& tree, SnapshotId target,
       uint64_t len = std::min(DirtyMap::kPageSize, mem.size() - off);
       if (src) {
         std::memcpy(mem.data() + off, src, len);
+        dirty.Touch(off, len);
       } else {
         std::memset(mem.data() + off, 0, len);
       }
@@ -325,6 +295,53 @@ void Process::RestoreFromTree(const SnapshotTree& tree, SnapshotId target,
   segment(stack_dirty_, stack_mem_, &ProcessNodeState::stack);
   segment(heap_dirty_, heap_mem_, &ProcessNodeState::heap);
   segment(tls_dirty_, tls_mem_, &ProcessNodeState::tls);
+}
+
+void Process::MaterializeFromTree(const SnapshotTree& tree, SnapshotId target,
+                                  size_t proc_index,
+                                  SnapshotRestoreStats* stats) {
+  const ProcessNodeState& tps = tree.nodes[target].procs[proc_index];
+  assert(tps.stack_bytes == stack_mem_.size() &&
+         tps.heap_bytes == heap_mem_.size() &&
+         tps.tls_bytes == tls_mem_.size() &&
+         "snapshot/process segment size mismatch");
+  assert(stack_dirty_.touched().empty() && heap_dirty_.touched().empty() &&
+         tls_dirty_.touched().empty() &&
+         "materializing requires freshly zeroed segments");
+  RestoreCore(tps.core);
+  // Chain of deltas newest -> oldest, stopping at the process's last full
+  // capture (which holds every non-zero page, so nothing older matters).
+  std::vector<SnapshotId> chain;
+  for (SnapshotId id = target; id != kNoSnapshot; id = tree.nodes[id].parent) {
+    chain.push_back(id);
+    if (tree.nodes[id].procs[proc_index].full) break;
+  }
+  // The segments start zeroed, which is what a page no delta holds reads
+  // as, so only captured pages are copied. Oldest first so newer writes
+  // land on top.
+  auto apply = [&](const PageDelta& delta, std::vector<uint8_t>& mem,
+                   DirtyMap& dirty) {
+    for (size_t i = 0; i < delta.pages.size(); ++i) {
+      uint64_t off = uint64_t{delta.pages[i]} << DirtyMap::kPageBits;
+      if (off >= mem.size()) continue;
+      uint64_t len = std::min(DirtyMap::kPageSize, mem.size() - off);
+      std::memcpy(mem.data() + off,
+                  delta.bytes.data() + i * DirtyMap::kPageSize, len);
+      dirty.Touch(off, len);
+      if (stats) ++stats->pages_restored;
+    }
+  };
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    const ProcessNodeState& ns = tree.nodes[*it].procs[proc_index];
+    apply(ns.stack, stack_mem_, stack_dirty_);
+    apply(ns.heap, heap_mem_, heap_dirty_);
+    apply(ns.tls, tls_mem_, tls_dirty_);
+  }
+  if (stats) stats->nodes_walked += chain.size();
+  // Journal from here on, so the next restore is O(dirty pages) again.
+  stack_dirty_.Enable(stack_mem_.size());
+  heap_dirty_.Enable(heap_mem_.size());
+  tls_dirty_.Enable(tls_mem_.size());
 }
 
 // -- NativeFrame --------------------------------------------------------------

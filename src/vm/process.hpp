@@ -36,7 +36,6 @@
 namespace lfi::vm {
 
 struct ProcessCore;
-struct ProcessSnapshot;
 struct ProcessNodeState;
 struct SnapshotTree;
 struct SnapshotRestoreStats;
@@ -144,14 +143,6 @@ class Process final : public kernel::KernelContext {
   const Loader& loader() const { return loader_; }
 
   // -- snapshot support ------------------------------------------------------
-  /// Copy the process's full state into `out` and enable dirty-page
-  /// tracking on its stack/heap/TLS so a later restore is O(dirty pages).
-  void CaptureSnapshot(ProcessSnapshot* out);
-  /// Return to the captured state. With `full` set (or when tracking is
-  /// not enabled, e.g. a process rebuilt after Machine::Reset) every
-  /// segment is copied wholesale; otherwise only the pages written since
-  /// the snapshot (or the last restore) are.
-  void RestoreFromSnapshot(const ProcessSnapshot& snap, bool full);
   /// Stop journaling writes (the owning machine dropped its snapshot).
   void DisableDirtyTracking() {
     stack_dirty_.Disable();
@@ -180,11 +171,20 @@ class Process final : public kernel::KernelContext {
   /// this process's journal-dirty pages, are the only ones that can
   /// differ, and each is sourced from its newest writer at-or-above
   /// target. Clears the journals. Requires matching segment sizes and
-  /// live journals (the machine falls back to MaterializeProcess +
-  /// RestoreFromSnapshot otherwise).
+  /// live journals (the machine falls back to MaterializeFromTree
+  /// otherwise).
   void RestoreFromTree(const SnapshotTree& tree, SnapshotId target,
                        size_t proc_index, const std::vector<SnapshotId>& path,
                        SnapshotRestoreStats* stats);
+  /// Rebuild path for a process the live machine no longer has (destroyed
+  /// by Machine::Reset, or truncated by an earlier restore): on a freshly
+  /// constructed process with `tree.nodes[target].procs[proc_index]`'s
+  /// segment sizes, apply that process's delta chain (back to its last
+  /// full capture) oldest first, directly into the still-zeroed pooled
+  /// segments. Costs the pages the chain holds, not the segment sizes.
+  /// Leaves the journals enabled and clean.
+  void MaterializeFromTree(const SnapshotTree& tree, SnapshotId target,
+                           size_t proc_index, SnapshotRestoreStats* stats);
 
  private:
   friend class NativeFrame;

@@ -50,43 +50,9 @@ const uint8_t* FindProcPage(const SnapshotTree& tree, SnapshotId target,
     const ProcessNodeState& ps = tree.nodes[id].procs[proc_index];
     if (nodes_walked) ++*nodes_walked;
     if (const uint8_t* p = (ps.*sel).page(page)) return p;
-    if (ps.full) break;  // a full node holds every live page of the segment
+    if (ps.full) break;  // a full node holds every non-zero page
   }
-  return nullptr;  // page beyond the segment's last full capture: untouched
-}
-
-ProcessSnapshot MaterializeProcess(const SnapshotTree& tree,
-                                   SnapshotId target, size_t proc_index) {
-  const ProcessNodeState& tps = tree.nodes[target].procs[proc_index];
-  ProcessSnapshot ps;
-  ps.core = tps.core;
-  ps.stack.assign(tps.stack_bytes, 0);
-  ps.heap.assign(tps.heap_bytes, 0);
-  ps.tls.assign(tps.tls_bytes, 0);
-  // Chain of deltas newest -> oldest, stopping at the process's last full
-  // capture (which holds every page, so nothing older matters).
-  std::vector<SnapshotId> chain;
-  for (SnapshotId id = target; id != kNoSnapshot; id = tree.nodes[id].parent) {
-    chain.push_back(id);
-    if (tree.nodes[id].procs[proc_index].full) break;
-  }
-  auto apply = [](const PageDelta& delta, std::vector<uint8_t>& mem) {
-    for (size_t i = 0; i < delta.pages.size(); ++i) {
-      uint64_t off = uint64_t{delta.pages[i]} << DirtyMap::kPageBits;
-      if (off >= mem.size()) continue;
-      std::memcpy(mem.data() + off,
-                  delta.bytes.data() + i * DirtyMap::kPageSize,
-                  std::min(DirtyMap::kPageSize, mem.size() - off));
-    }
-  };
-  // Oldest first so newer writes land on top.
-  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-    const ProcessNodeState& ns = tree.nodes[*it].procs[proc_index];
-    apply(ns.stack, ps.stack);
-    apply(ns.heap, ps.heap);
-    apply(ns.tls, ps.tls);
-  }
-  return ps;
+  return nullptr;  // zero at the segment's last full capture, untouched since
 }
 
 }  // namespace lfi::vm

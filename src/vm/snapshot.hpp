@@ -14,8 +14,9 @@
 // machine's current position to any live node is O(pages that differ
 // between them): the current dirty journals, plus the deltas on the tree
 // path between the two nodes. Restoring after Machine::Reset (or to a
-// process that no longer exists) falls back to materializing full images
-// by replaying deltas root -> node.
+// process that no longer exists) rebuilds the process by replaying its
+// deltas root -> node into freshly pooled segments
+// (Process::MaterializeFromTree).
 //
 // The flat Machine::Snapshot/RestoreSnapshot API is a one-node tree.
 #pragma once
@@ -49,17 +50,6 @@ struct ProcessCore {
   std::vector<Frame> shadow;
 };
 
-/// Everything one Process needs to resume, with complete segment images —
-/// the materialized form used to rebuild a destroyed process (and the
-/// payload of the flat snapshot API). The owning process's dirty journals
-/// decide how much of the images a restore actually touches.
-struct ProcessSnapshot {
-  ProcessCore core;
-  std::vector<uint8_t> stack;
-  std::vector<uint8_t> heap;
-  std::vector<uint8_t> tls;
-};
-
 /// One process's slice of a tree node: scalar core in full, segments as
 /// page deltas against the parent node.
 struct ProcessNodeState {
@@ -70,10 +60,11 @@ struct ProcessNodeState {
   PageDelta stack;
   PageDelta heap;
   PageDelta tls;
-  /// The deltas hold every page: root nodes, and processes whose journal
-  /// was not live across the whole parent->child window (spawned since the
-  /// parent's capture, or realigned). The ancestor walk for this process
-  /// never continues past a full node.
+  /// The deltas hold every non-zero page, and a page they lack reads as
+  /// zero: root nodes, and processes whose journal was not live across the
+  /// whole parent->child window (spawned since the parent's capture, or
+  /// realigned). The ancestor walk for this process never continues past a
+  /// full node.
   bool full = false;
 };
 
@@ -95,7 +86,7 @@ struct SnapshotNode {
 
 /// Cumulative Machine::RestoreTo cost counters: how much work restores
 /// actually did. `pages_restored` counts 4 KiB pages copied into live
-/// memory (or into a rebuilt process's materialized image);
+/// memory (including a rebuilt process's segments);
 /// `nodes_walked` counts tree nodes visited to source page contents and
 /// compute difference sets. Bench telemetry — sample before/after a
 /// scenario for its restore cost.
@@ -133,11 +124,5 @@ const uint8_t* FindProcPage(const SnapshotTree& tree, SnapshotId target,
                             size_t proc_index,
                             const PageDelta ProcessNodeState::*sel,
                             uint32_t page, uint64_t* nodes_walked);
-
-/// Materialize full segment images for process `proc_index` at node
-/// `target` by applying deltas root -> target: the rebuild path for
-/// processes destroyed by Machine::Reset or truncated by a restore.
-ProcessSnapshot MaterializeProcess(const SnapshotTree& tree,
-                                   SnapshotId target, size_t proc_index);
 
 }  // namespace lfi::vm

@@ -11,6 +11,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <thread>
+
 #include "apps/workloads.hpp"
 #include "campaign/explorer.hpp"
 #include "campaign/runner.hpp"
@@ -202,14 +204,22 @@ TEST(Fabric, RepeatedRunsReuseWarmWorkers) {
 // One worker hard-closes its socket mid-campaign (the deterministic
 // stand-in for kill -9); its in-flight batch must be re-run on the
 // surviving worker and the merged report must not change a byte.
+//
+// The healthy worker is held stopped until the dying one has exited, so
+// the drop comes first by construction. Otherwise a fast healthy worker can
+// run out of fresh batches, steal the dying worker's in-flight batch and
+// finish it before the drop, and the test sees a steal instead of a retry.
+// After the resume, the healthy worker has 14 fresh batches to run before
+// it could steal, while the drop only waits for the coordinator to read an
+// EOF that is already there.
 TEST(Fabric, AbortingWorkerShardIsRetriedElsewhere) {
   std::vector<Scenario> scenarios = RandomScenarios(32, 0.3, 42);
   CampaignReport baseline = InProcessBaseline(scenarios, BaseOptions());
 
   WorkerConfig dying;
-  dying.abort_after_scenarios = 4;
+  dying.abort_after_scenarios = 2;  // dies on its first batch
   FabricOptions fabric_opts;
-  fabric_opts.batch_size = 4;
+  fabric_opts.batch_size = 2;
   auto w1 = SpawnLocalWorker(dying);
   auto w2 = SpawnLocalWorker();
   ASSERT_TRUE(w1.ok()) << w1.error();
@@ -219,7 +229,13 @@ TEST(Fabric, AbortingWorkerShardIsRetriedElsewhere) {
   ASSERT_TRUE(fabric.AddWorkerFd(w1.value().fd, "dying").ok());
   ASSERT_TRUE(fabric.AddWorkerFd(w2.value().fd, "healthy").ok());
 
+  ASSERT_EQ(::kill(w2.value().pid, SIGSTOP), 0);
+  std::thread resume([&] {
+    ::waitpid(w1.value().pid, nullptr, 0);
+    ::kill(w2.value().pid, SIGCONT);
+  });
   CampaignReport distributed = fabric.Run(scenarios);
+  resume.join();
   ExpectSameResults(baseline, distributed);
   EXPECT_GE(fabric.stats().workers_lost, 1u);
   EXPECT_GE(fabric.stats().batches_retried, 1u);

@@ -174,6 +174,59 @@ TEST(KernelRuntime, OpenCreatReadWriteRoundTrip) {
   EXPECT_EQ(memcmp(ctx.mem_.data() + 300, "hello", 5), 0);
 }
 
+/// Create "/f" holding 10 bytes; returns its fd (position at the end).
+int64_t OpenTenByteFile(KernelRuntime& kr, FakeContext& ctx) {
+  ctx.put_string(100, "/f");
+  ctx.set_reg(isa::Reg::R1, 100);
+  ctx.set_reg(isa::Reg::R2, 0x40);  // O_CREAT
+  KResult open = kr.Invoke(N(Sys::OPEN), ctx);
+  EXPECT_EQ(open.kind, KResult::Kind::Ok);
+  ctx.set_reg(isa::Reg::R1, open.value);
+  ctx.set_reg(isa::Reg::R2, 200);
+  ctx.set_reg(isa::Reg::R3, 10);
+  EXPECT_EQ(kr.Invoke(N(Sys::WRITE), ctx).value, 10);
+  return open.value;
+}
+
+// A guest count near 2^64 wraps `size + count` below the 64 MiB cap. At
+// pos 0, `pos + count` does not wrap and asked resize() for ~2^64 bytes.
+TEST(KernelRuntime, WriteHugeCountAtStartIsENOSPC) {
+  KernelRuntime kr;
+  FakeContext ctx;
+  int64_t fd = OpenTenByteFile(kr, ctx);
+  ctx.set_reg(isa::Reg::R1, fd);
+  ctx.set_reg(isa::Reg::R2, 0);
+  ctx.set_reg(isa::Reg::R3, 0);  // SEEK_SET
+  ASSERT_EQ(kr.Invoke(N(Sys::LSEEK), ctx).kind, KResult::Kind::Ok);
+  ctx.set_reg(isa::Reg::R1, fd);
+  ctx.set_reg(isa::Reg::R2, 200);
+  ctx.set_reg(isa::Reg::R3, -4);  // count 2^64 - 4
+  KResult r = kr.Invoke(N(Sys::WRITE), ctx);
+  EXPECT_EQ(r.kind, KResult::Kind::Fail);
+  EXPECT_EQ(r.error, E_NOSPC);
+}
+
+// With pos past the wrapped amount, `pos + count` wraps below the file
+// size too: no resize, and the copy loop wrote past the host buffer.
+TEST(KernelRuntime, WriteHugeCountPastWrappedEndIsENOSPC) {
+  KernelRuntime kr;
+  FakeContext ctx;
+  int64_t fd = OpenTenByteFile(kr, ctx);  // pos 10
+  ctx.set_reg(isa::Reg::R1, fd);
+  ctx.set_reg(isa::Reg::R2, 200);
+  ctx.set_reg(isa::Reg::R3, -4);  // pos + count wraps to 6 < size 10
+  KResult r = kr.Invoke(N(Sys::WRITE), ctx);
+  EXPECT_EQ(r.kind, KResult::Kind::Fail);
+  EXPECT_EQ(r.error, E_NOSPC);
+  // The file is untouched and still usable.
+  ctx.set_reg(isa::Reg::R1, fd);
+  ctx.set_reg(isa::Reg::R2, 200);
+  ctx.set_reg(isa::Reg::R3, 2);
+  KResult ok = kr.Invoke(N(Sys::WRITE), ctx);
+  ASSERT_EQ(ok.kind, KResult::Kind::Ok);
+  EXPECT_EQ(ok.value, 2);
+}
+
 TEST(KernelRuntime, ReadBadFdFails) {
   KernelRuntime kr;
   FakeContext ctx;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/controller.hpp"
 #include "test_helpers.hpp"
 #include "vm/machine.hpp"
 #include "vm/memory.hpp"
@@ -636,19 +639,6 @@ TEST(DirtyMap, PartialLastPageCaptureZeroPadsAndClamps) {
   EXPECT_EQ(delta.page(1)[99], 0xCD);
 }
 
-TEST(DirtyMap, RestoreDirtyPagesClampsPartialTail) {
-  const uint64_t bytes = DirtyMap::kPageSize + 100;
-  std::vector<uint8_t> from(bytes, 0x11), to(bytes, 0x22);
-  DirtyMap dm;
-  dm.Enable(bytes);
-  dm.Mark(DirtyMap::kPageSize, 100);  // only the partial tail page
-  RestoreDirtyPages(dm, from.data(), to.data(), bytes);
-  EXPECT_EQ(to[0], 0x22);  // clean page untouched
-  EXPECT_EQ(to[DirtyMap::kPageSize], 0x11);
-  EXPECT_EQ(to[bytes - 1], 0x11);
-  EXPECT_EQ(dm.DirtyCount(), 0u);  // journal cleared by the restore
-}
-
 TEST(AddressSpace, WriteMarksRegionDirtyJournal) {
   std::vector<uint8_t> backing(2 * DirtyMap::kPageSize, 0);
   DirtyMap dm;
@@ -909,6 +899,250 @@ TEST(MachineSnapshotTree, FlatSnapshotAliasesTreeRoot) {
   ASSERT_TRUE(pid2.ok());
   // Counter was 1 at the flat snapshot: the rerun increments it to 2.
   EXPECT_EQ(machine.RunToCompletion(pid2.value()).exit_code, 2);
+}
+
+// ---- segment recycling --------------------------------------------------------
+//
+// A process's stack/heap/TLS buffers go back to the machine's SegmentPool
+// with the extent of bytes that may be non-zero, and the next process gets
+// them with only that extent zeroed. Each write path into a segment must
+// therefore widen the extent; each test below writes through one path,
+// recycles the segments, and checks that nothing shows through.
+
+TEST(SegmentPool, RecyclesTheBufferZeroingItsTouchedExtent) {
+  SegmentPool pool;
+  std::vector<uint8_t> buffer = pool.Acquire(64 * 1024);
+  ASSERT_EQ(buffer.size(), 64u * 1024);
+  const uint8_t* storage = buffer.data();
+  buffer[100] = 1;
+  buffer[40000] = 2;
+  Extent touched;
+  touched.Widen(100, 1);
+  touched.Widen(40000, 1);
+  pool.Release(std::move(buffer), touched);
+  std::vector<uint8_t> again = pool.Acquire(64 * 1024);
+  EXPECT_EQ(again.data(), storage);  // recycled, not reallocated
+  EXPECT_EQ(std::count(again.begin(), again.end(), 0), 64 * 1024);
+  // A buffer of another size is not handed out.
+  EXPECT_EQ(pool.Acquire(4096).size(), 4096u);
+}
+
+TEST(SegmentPool, ReleaseClampsTheExtentToTheBuffer) {
+  SegmentPool pool;
+  std::vector<uint8_t> buffer = pool.Acquire(4096);
+  std::fill(buffer.begin() + 4000, buffer.end(), uint8_t{7});
+  Extent touched;
+  touched.Widen(4000, 1 << 20);  // past the end: must not be memset there
+  pool.Release(std::move(buffer), touched);
+  std::vector<uint8_t> again = pool.Acquire(4096);
+  EXPECT_EQ(std::count(again.begin(), again.end(), 0), 4096);
+}
+
+TEST(DirtyMap, TouchedExtentSurvivesJournalResets) {
+  DirtyMap dm;
+  EXPECT_TRUE(dm.touched().empty());
+  dm.Mark(8192, 8);  // journal disabled: the extent still grows
+  dm.Enable(16384);
+  dm.Mark(100, 4);
+  dm.ClearAll();
+  dm.Disable();
+  dm.Touch(12000, 16);
+  EXPECT_EQ(dm.touched().begin, 100u);
+  EXPECT_EQ(dm.touched().end, 12016u);
+}
+
+TEST(DirtyMap, NonZeroCaptureSkipsZeroPagesAndClampsTail) {
+  std::vector<uint8_t> mem(3 * DirtyMap::kPageSize + 100, 0);
+  mem[DirtyMap::kPageSize + 5] = 1;  // page 1
+  mem.back() = 9;                    // partial page 3
+  PageDelta delta = CaptureNonZeroPages(mem.data(), mem.size());
+  EXPECT_EQ(delta.pages, (std::vector<uint32_t>{1, 3}));
+  const uint8_t* tail = delta.page(3);
+  ASSERT_NE(tail, nullptr);
+  EXPECT_EQ(tail[99], 9);
+  EXPECT_EQ(tail[100], 0);  // zero padding past the segment
+}
+
+/// Read `size` bytes of `proc`'s memory at `base`; count the non-zero ones.
+size_t NonZeroBytes(Process& proc, uint64_t base, uint64_t size) {
+  std::vector<uint8_t> bytes(size);
+  EXPECT_TRUE(proc.read_mem(base, bytes.data(), size));
+  return static_cast<size_t>(
+      std::count_if(bytes.begin(), bytes.end(), [](uint8_t b) { return b; }));
+}
+
+/// Reset `machine` (its processes' segments go back to the pool) and create
+/// a process on the recycled segments: nothing an earlier process wrote may
+/// show. Every byte reads zero except the exit sentinel Start() pushes.
+void ExpectRecycledSegmentsZeroed(Machine& machine, const std::string& entry) {
+  machine.Reset();
+  auto pid = machine.CreateProcess(entry);
+  ASSERT_TRUE(pid.ok());
+  Process& proc = *machine.process(pid.value());
+  EXPECT_EQ(NonZeroBytes(proc, kStackBase, kStackSize - 8), 0u) << "stack";
+  EXPECT_EQ(NonZeroBytes(proc, kHeapBase, proc.heap_bytes()), 0u) << "heap";
+  EXPECT_EQ(NonZeroBytes(proc, kTlsBase, kTlsSize), 0u) << "tls";
+}
+
+uint64_t ReadWord(Process& proc, uint64_t addr) {
+  uint64_t v = 0;
+  EXPECT_TRUE(proc.read_mem(addr, &v, 8));
+  return v;
+}
+
+// Guest stores, through the superblock engine's arithmetic fast path and
+// the reference engine's AddressSpace path.
+TEST(SegmentRecycling, InterpreterWritesAreZeroed) {
+  for (ExecMode mode : {ExecMode::Superblock, ExecMode::Reference}) {
+    SCOPED_TRACE(ExecModeName(mode));
+    Machine machine;
+    machine.SetExecMode(mode);
+    machine.Load(OneFn("main", [](CodeBuilder& b) {
+      b.mov_ri(Reg::R1, static_cast<int64_t>(kHeapBase + 0x3000));
+      b.store_i(Reg::R1, 0, 0x1111);
+      b.mov_ri(Reg::R1, static_cast<int64_t>(kStackBase + 0x2000));
+      b.store_i(Reg::R1, 0, 0x2222);
+      b.mov_ri(Reg::R1, static_cast<int64_t>(kTlsBase + 64));
+      b.store_i(Reg::R1, 0, 0x3333);
+    }));
+    auto pid = machine.CreateProcess("main");
+    ASSERT_TRUE(pid.ok());
+    ASSERT_EQ(machine.RunToCompletion(pid.value()).state, ProcState::Exited);
+    EXPECT_EQ(ReadWord(*machine.process(pid.value()), kHeapBase + 0x3000),
+              0x1111u);
+    ExpectRecycledSegmentsZeroed(machine, "main");
+  }
+}
+
+// The kernel's read() copies file bytes into guest memory host-side.
+TEST(SegmentRecycling, KernelReadIntoGuestMemoryIsZeroed) {
+  Machine machine;
+  machine.Load(libc::BuildLibc());
+  machine.kernel().add_file("/blob", std::vector<uint8_t>(64, 0xAB));
+  CodeBuilder b;
+  uint32_t path = b.emit_data({'/', 'b', 'l', 'o', 'b', 0});
+  b.begin_function("main");
+  b.lea_data(Reg::R1, static_cast<int32_t>(path));
+  b.mov_ri(Reg::R2, libc::O_RDONLY);
+  b.call_named("open", {Reg::R1, Reg::R2});
+  b.mov_rr(Reg::R1, Reg::R0);
+  b.mov_ri(Reg::R2, static_cast<int64_t>(kHeapBase + 0x5000));
+  b.mov_ri(Reg::R3, 64);
+  b.call_named("read", {Reg::R1, Reg::R2, Reg::R3});
+  b.leave_ret();
+  b.end_function();
+  machine.Load(sso::FromCodeUnit("app.so", b.Finish()));
+  auto pid = machine.CreateProcess("main");
+  ASSERT_TRUE(pid.ok());
+  auto info = machine.RunToCompletion(pid.value());
+  ASSERT_EQ(info.state, ProcState::Exited) << info.fault_message;
+  EXPECT_EQ(info.exit_code, 64);
+  EXPECT_EQ(NonZeroBytes(*machine.process(pid.value()), kHeapBase + 0x5000,
+                         64),
+            64u);
+  ExpectRecycledSegmentsZeroed(machine, "main");
+}
+
+// A native stub rewriting an argument slot (argument-modification faults).
+// The guest drops SP onto stack bytes it never wrote before the call, so
+// only the stub's write touches them.
+TEST(SegmentRecycling, NativeStubArgumentWriteIsZeroed) {
+  Machine machine;
+  uint64_t poked = 0;
+  machine.loader().RegisterNative("poke", [&](NativeFrame& f) {
+    poked = static_cast<uint64_t>(f.process().reg(Reg::SP));
+    EXPECT_TRUE(f.set_arg(0, 0x7777));
+    return NativeAction::Ret(0);
+  });
+  machine.Load(OneFn("main", [](CodeBuilder& b) {
+    b.sub_ri(Reg::SP, 0x3000);
+    b.call_named("poke", {});
+    b.add_ri(Reg::SP, 0x3000);
+  }));
+  auto pid = machine.CreateProcess("main");
+  ASSERT_TRUE(pid.ok());
+  ASSERT_EQ(machine.RunToCompletion(pid.value()).state, ProcState::Exited);
+  ASSERT_NE(poked, 0u);
+  EXPECT_EQ(ReadWord(*machine.process(pid.value()), poked), 0x7777u);
+  ExpectRecycledSegmentsZeroed(machine, "main");
+}
+
+// An SEU flip lands through the controller's AddressSpace write.
+TEST(SegmentRecycling, SeuFlipIsZeroed) {
+  Machine machine;
+  machine.Load(LoopApp());
+  core::Controller controller(machine);
+  core::Plan plan;
+  core::SeuFault seu;
+  seu.target = core::SeuFault::Target::Heap;
+  seu.offset = 0x7000;
+  seu.bit = 5;
+  seu.at_instruction = 50;
+  plan.seus.push_back(seu);
+  ASSERT_TRUE(controller.Install(plan, std::vector<core::FaultProfile>{}).ok());
+  auto pid = machine.CreateProcess("main");
+  ASSERT_TRUE(pid.ok());
+  ASSERT_EQ(machine.RunToCompletion(pid.value()).state, ProcState::Exited);
+  ASSERT_EQ(controller.seu_landed(), 1u);
+  EXPECT_EQ(ReadWord(*machine.process(pid.value()), kHeapBase + 0x7000),
+            uint64_t{1} << 5);
+  controller.Reset();
+  ExpectRecycledSegmentsZeroed(machine, "main");
+}
+
+/// A snapshot tree whose two leaves differ in one heap page each: `a` holds
+/// 0xA1 at heap+0x10000, `b` holds 0xB2 at heap+0x20000. Both were written
+/// by the live process, host-side, after the root.
+struct TwoLeafTree {
+  SnapshotId a = kNoSnapshot;
+  SnapshotId b = kNoSnapshot;
+  int pid = 0;
+};
+
+TwoLeafTree BuildTwoLeafTree(Machine& machine) {
+  TwoLeafTree t;
+  machine.Load(LoopApp());
+  auto pid = machine.CreateProcess("main");
+  EXPECT_TRUE(pid.ok());
+  t.pid = pid.value();
+  SnapshotId root = machine.PushSnapshot();
+  uint64_t a_word = 0xA1, b_word = 0xB2;
+  EXPECT_TRUE(machine.process(t.pid)->write_mem(kHeapBase + 0x10000, &a_word,
+                                                8));
+  t.a = machine.PushSnapshot();
+  EXPECT_TRUE(machine.RestoreTo(root));
+  EXPECT_TRUE(machine.process(t.pid)->write_mem(kHeapBase + 0x20000, &b_word,
+                                                8));
+  t.b = machine.PushSnapshot();
+  return t;
+}
+
+// After a Reset, RestoreTo rebuilds the process by copying its delta chain
+// into freshly pooled segments.
+TEST(SegmentRecycling, FullRestoreCopiesAreZeroed) {
+  Machine machine;
+  TwoLeafTree t = BuildTwoLeafTree(machine);
+  machine.Reset();
+  ASSERT_TRUE(machine.RestoreTo(t.a));
+  // A rebuilt process maps its segments when it next runs.
+  ASSERT_EQ(machine.RunToCompletion(t.pid).state, ProcState::Exited);
+  EXPECT_EQ(ReadWord(*machine.process(t.pid), kHeapBase + 0x10000), 0xA1u);
+  ExpectRecycledSegmentsZeroed(machine, "main");
+}
+
+// In place, RestoreTo copies the pages that differ. Restoring the rebuilt
+// process to the sibling leaf copies a page that process never wrote.
+TEST(SegmentRecycling, TreeRestoreCopiesAreZeroed) {
+  Machine machine;
+  TwoLeafTree t = BuildTwoLeafTree(machine);
+  machine.Reset();
+  ASSERT_TRUE(machine.RestoreTo(t.a));
+  ASSERT_TRUE(machine.RestoreTo(t.b));
+  ASSERT_EQ(machine.RunToCompletion(t.pid).state, ProcState::Exited);
+  Process& proc = *machine.process(t.pid);
+  EXPECT_EQ(ReadWord(proc, kHeapBase + 0x10000), 0u);
+  EXPECT_EQ(ReadWord(proc, kHeapBase + 0x20000), 0xB2u);
+  ExpectRecycledSegmentsZeroed(machine, "main");
 }
 
 TEST(Process, UnknownSyscallNumberReturnsNosys) {
